@@ -7,6 +7,8 @@
 //! reports mean ns/iteration on stdout. Set `CRITERION_QUICK=1` (or pass
 //! `--quick`) to shrink the window for smoke runs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

@@ -6,6 +6,8 @@
 //! error) because a panicking holder in this codebase can only leave fully
 //! written plain-old-data behind.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 

@@ -11,6 +11,8 @@
 //! Shrinking is intentionally not implemented — failures report the exact
 //! generated inputs via the panic message of the failing assertion.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy {
     //! The [`Strategy`] trait and combinators.
 

@@ -8,6 +8,8 @@
 //! generator — so a different underlying stream than upstream `StdRng` is
 //! fine as long as it is stable across runs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Error type produced by fallible RNG operations. The shim's generators

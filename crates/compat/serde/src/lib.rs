@@ -8,6 +8,8 @@
 //! re-exports no-op derive macros so the `#[derive(Serialize, Deserialize)]`
 //! annotations keep compiling unchanged.
 
+#![forbid(unsafe_code)]
+
 /// Marker trait standing in for `serde::Serialize`.
 pub trait Serialize {}
 

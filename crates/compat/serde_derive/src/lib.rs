@@ -5,6 +5,8 @@
 //! type parameters are carried through unconstrained, which is sufficient
 //! for the plain-old-data types this workspace derives on.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{TokenStream, TokenTree};
 
 /// Extracts the type name and (raw) generic parameter list, e.g.

@@ -58,31 +58,6 @@ impl PersistenceConfig {
     }
 }
 
-/// Counters of the deployment's persistence pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistenceStats {
-    /// Write-back passes completed by the pipeline.
-    pub write_back_passes: u64,
-    /// Dirty chunks flushed to remote storage.
-    pub chunks_flushed: u64,
-    /// Chunks staged back into the cache by prefetch arrivals.
-    pub prefetch_arrivals: u64,
-}
-
-impl servo_metrics::StatsReport for PersistenceStats {
-    fn section(&self) -> &'static str {
-        "persistence"
-    }
-
-    fn report(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("write_back_passes", self.write_back_passes.to_string()),
-            ("chunks_flushed", self.chunks_flushed.to_string()),
-            ("prefetch_arrivals", self.prefetch_arrivals.to_string()),
-        ]
-    }
-}
-
 /// Configuration of a Servo deployment.
 #[derive(Debug, Clone)]
 pub struct ServoConfig {
@@ -210,11 +185,16 @@ impl ServoBuilder {
         ServoDeployment::from_config(self.config)
     }
 
-    /// Builds a *zoned* cluster instead of a single Servo instance: the
-    /// classic scale-out alternative the ablation compares against. See
-    /// [`ServoDeployment::zoned`].
+    /// Builds a *zoned* cluster instead of a single Servo instance: `zones`
+    /// real game servers sharing the configured cost model, view distance
+    /// and world kind, each wired its own per-zone [`ChunkService`]
+    /// generation backend and restricted to its own slice of world shards.
+    /// Constructs are simulated locally per zone (every other tick, as the
+    /// production baselines do) — zoning is the classic scale-out
+    /// alternative to Servo's offloading, which is exactly the comparison
+    /// the multiserver ablation runs on [`ShardedGameCluster::baseline`].
     pub fn zoned(self, zones: usize) -> ShardedGameCluster {
-        ServoDeployment::zoned_cluster(self.config, zones)
+        ShardedGameCluster::baseline(self.config.server.clone(), zones, self.config.seed)
     }
 
     /// Builds a *hybrid* zoned+offloading cluster: zoning for players and
@@ -241,7 +221,7 @@ pub struct ServoDeployment {
     /// dirty deltas flow into write-back (Section III-E). Driven by
     /// [`ServoDeployment::run_with_fleet`].
     persistence: Option<PipelinedChunkService<BlobStore>>,
-    persistence_stats: PersistenceStats,
+    persistence_stats: ZonePersistenceStats,
 }
 
 impl std::fmt::Debug for ServoDeployment {
@@ -310,35 +290,13 @@ impl ServoDeployment {
             terrain,
             config,
             persistence,
-            persistence_stats: PersistenceStats::default(),
+            persistence_stats: ZonePersistenceStats::default(),
         }
-    }
-
-    /// Builds a *zoned* cluster from this configuration: `zones` real game
-    /// servers sharing the configured cost model, view distance and world
-    /// kind, each wired its own per-zone [`ChunkService`] generation
-    /// backend and restricted to its own slice of world shards. Constructs
-    /// are simulated locally per zone (every other tick, as the production
-    /// baselines do) — zoning is the classic alternative to Servo's
-    /// offloading, which is exactly the comparison the multiserver
-    /// ablation runs on [`ShardedGameCluster::baseline`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `ServoDeployment::builder().zoned(n)`; the free-standing \
-                constructor will be removed next release"
-    )]
-    pub fn zoned(config: ServoConfig, zones: usize) -> ShardedGameCluster {
-        Self::zoned_cluster(config, zones)
-    }
-
-    /// The builder's zoned construction path ([`ServoBuilder::zoned`]).
-    fn zoned_cluster(config: ServoConfig, zones: usize) -> ShardedGameCluster {
-        ShardedGameCluster::baseline(config.server.clone(), zones, config.seed)
     }
 
     /// Counters of the persistence pipeline (all zero when persistence is
     /// disabled or the deployment is driven through the bare server).
-    pub fn persistence_stats(&self) -> PersistenceStats {
+    pub fn persistence_stats(&self) -> ZonePersistenceStats {
         self.persistence_stats
     }
 
@@ -798,7 +756,10 @@ mod tests {
         let reports = deployment.run_with_fleet(&mut fleet, SimDuration::from_secs(2));
         assert!(!reports.is_empty());
         assert_eq!(deployment.flush_persistence(), 0);
-        assert_eq!(deployment.persistence_stats(), PersistenceStats::default());
+        assert_eq!(
+            deployment.persistence_stats(),
+            ZonePersistenceStats::default()
+        );
         assert!(deployment.with_persisted(|remote| remote.len()).is_none());
     }
 

@@ -42,6 +42,7 @@
 //! assert!(deployment.server.stats().sc_merged + deployment.server.stats().sc_replayed > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deployment;
@@ -49,9 +50,7 @@ pub mod speculative;
 pub mod terrain;
 pub mod terrain_store;
 
-pub use deployment::{
-    HybridDeployment, PersistenceConfig, PersistenceStats, ServoConfig, ServoDeployment,
-};
+pub use deployment::{HybridDeployment, PersistenceConfig, ServoConfig, ServoDeployment};
 pub use speculative::{
     ScWorkModel, SharedScPlatform, SpeculationConfig, SpeculationHandle, SpeculationStats,
     SpeculativeScBackend,

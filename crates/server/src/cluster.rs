@@ -122,8 +122,9 @@ pub enum BorderExchange {
     Speculative,
 }
 
-/// Counters of one zone's persistence pipeline (mirrors the shape of the
-/// single-deployment `PersistenceStats` in `servo-core`).
+/// Counters of one persistence pipeline: one zone's, or (as returned by
+/// `ServoDeployment::persistence_stats` in `servo-core`) the single
+/// server's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZonePersistenceStats {
     /// Write-back passes completed by the zone's pipeline.
@@ -135,8 +136,7 @@ pub struct ZonePersistenceStats {
 }
 
 /// Builder-style description of one zone's persistence attachment,
-/// consumed by [`ShardedGameCluster::bind_persistence`]. Replaces the
-/// free-standing `attach_persistence_with_scaler` constructor.
+/// consumed by [`ShardedGameCluster::bind_persistence`].
 ///
 /// ```
 /// use servo_server::PersistenceBinding;
@@ -784,29 +784,6 @@ impl ShardedGameCluster {
             zone,
             PersistenceBinding::new(remote, rng).write_back_interval(write_back_interval),
         );
-    }
-
-    /// [`Self::bind_persistence`] with positional arguments.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a `PersistenceBinding` and call `bind_persistence` (or configure \
-                persistence through `ServoDeployment::builder()`); the free-standing \
-                constructor will be removed next release"
-    )]
-    pub fn attach_persistence_with_scaler(
-        &mut self,
-        zone: usize,
-        remote: BlobStore,
-        rng: SimRng,
-        write_back_interval: u64,
-        elastic: Option<AutoscalerConfig>,
-    ) {
-        let mut binding =
-            PersistenceBinding::new(remote, rng).write_back_interval(write_back_interval);
-        if let Some(scaler) = elastic {
-            binding = binding.elastic(scaler);
-        }
-        self.bind_persistence(zone, binding);
     }
 
     /// Attaches `zone`'s persistence pipeline from a [`PersistenceBinding`]

@@ -29,6 +29,7 @@
 //! assert_eq!(clock.now(), SimTime::from_millis(50));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -1,19 +1,22 @@
-//! Differential suite for the pluggable world backends.
+//! Differential suite: [`ShardedWorld`] against the single-threaded
+//! [`World`].
 //!
 //! Every property here runs the *same* arbitrary operation sequence against
-//! three worlds — the single-threaded [`World`], [`ShardedWorld`] over the
-//! default [`RwLockStore`], and [`ShardedWorld`] over the lock-free
-//! [`LockFreeStore`] — and demands they agree on everything observable:
-//! final chunk bytes, loaded-chunk counts, modification counters, and (for
-//! the two sharded worlds, which are the only ones that track them) the
-//! drained dirty sets and shard epochs. This is the proof obligation behind
-//! swapping a backend: any divergence a storage pipeline or a persistence
-//! drain could observe shows up here as a shrunk counterexample.
+//! both worlds and demands they agree on everything observable: final chunk
+//! bytes, loaded-chunk sets, modification counters and stateful-block
+//! counts. The plain world has no dirty tracking, so the suite replays the
+//! sharded world's write-back contract from the plain world's outcomes: a
+//! [`DirtyModel`] records which chunks each shard owes write-back and each
+//! shard's epoch, and every drain must match it exactly. Any divergence a
+//! storage pipeline or a persistence drain could observe shows up here as a
+//! shrunk counterexample.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use servo_types::consts::CHUNK_HEIGHT;
 use servo_types::{BlockPos, ChunkPos};
-use servo_world::{Block, ChunkStore, LockFreeStore, RwLockStore, ShardDelta, ShardedWorld, World};
+use servo_world::{Block, ShardDelta, ShardedWorld, World};
 
 /// One operation in a generated differential schedule. Coordinates are kept
 /// small so sequences revisit chunks (revisits are where dirty-set and
@@ -46,10 +49,12 @@ enum Op {
     Ensure { cx: i32, cz: i32 },
     /// Unload a chunk (possibly absent).
     Remove { cx: i32, cz: i32 },
-    /// Drain the dirty sets mid-sequence; the two sharded worlds must
-    /// produce identical deltas, and draining must not disturb any other
-    /// observable state.
+    /// Drain the dirty sets mid-sequence; the deltas must match the model,
+    /// and draining must not disturb any other observable state.
     Drain,
+    /// Re-shard the world through `with_shards`: chunks and pending dirt
+    /// carry over, epochs restart from zero.
+    Reshard { shards: usize },
 }
 
 fn arb_block() -> impl Strategy<Value = Block> {
@@ -70,68 +75,116 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (-4i32..4, -4i32..4).prop_map(|(cx, cz)| Op::Ensure { cx, cz }),
         1 => (-4i32..4, -4i32..4).prop_map(|(cx, cz)| Op::Remove { cx, cz }),
         1 => Just(Op::Drain),
+        1 => prop::sample::select(vec![1usize, 2, 4, 8, 16, 32])
+            .prop_map(|shards| Op::Reshard { shards }),
     ]
 }
 
-/// The three worlds under differential test, stepped in lockstep.
-struct Trio {
-    plain: World,
-    rwlock: ShardedWorld<RwLockStore>,
-    lockfree: ShardedWorld<LockFreeStore>,
+/// The write-back contract of [`ShardedWorld`], replayed from the plain
+/// world: the chunks modified since the last drain, and every shard's
+/// lifetime modification count.
+struct DirtyModel {
+    dirty: BTreeSet<(i32, i32)>,
+    epochs: Vec<u64>,
 }
 
-impl Trio {
+impl DirtyModel {
+    fn new(shard_count: usize) -> Self {
+        DirtyModel {
+            dirty: BTreeSet::new(),
+            epochs: vec![0; shard_count],
+        }
+    }
+
+    /// Records `mods` block modifications against the chunk at `pos`.
+    fn note(&mut self, world: &ShardedWorld, pos: ChunkPos, mods: u64) {
+        if mods > 0 {
+            self.dirty.insert((pos.x, pos.z));
+            self.epochs[world.shard_of(pos)] += mods;
+        }
+    }
+
+    /// The deltas a drain must return: one per dirty shard, in shard order,
+    /// chunks sorted by `(x, z)`.
+    fn drain(&mut self, world: &ShardedWorld) -> Vec<ShardDelta> {
+        let mut deltas: Vec<ShardDelta> = Vec::new();
+        for (x, z) in std::mem::take(&mut self.dirty) {
+            let pos = ChunkPos::new(x, z);
+            let shard = world.shard_of(pos);
+            match deltas.iter_mut().find(|d| d.shard == shard) {
+                Some(delta) => delta.chunks.push(pos),
+                None => deltas.push(ShardDelta {
+                    shard,
+                    epoch: self.epochs[shard],
+                    chunks: vec![pos],
+                }),
+            }
+        }
+        deltas.sort_by_key(|d| d.shard);
+        deltas
+    }
+}
+
+/// The worlds under differential test, stepped in lockstep.
+struct Duo {
+    plain: World,
+    sharded: ShardedWorld,
+    model: DirtyModel,
+}
+
+impl Duo {
     fn new() -> Self {
         let mut plain = World::flat(4);
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
+        let sharded = ShardedWorld::flat(4);
         for cx in -3..3 {
             for cz in -3..3 {
                 let pos = ChunkPos::new(cx, cz);
                 plain.ensure_chunk_at(pos);
-                rwlock.ensure_chunk_at(pos);
-                lockfree.ensure_chunk_at(pos);
+                sharded.ensure_chunk_at(pos);
             }
         }
-        Trio {
+        let model = DirtyModel::new(sharded.shard_count());
+        Duo {
             plain,
-            rwlock,
-            lockfree,
+            sharded,
+            model,
         }
     }
 
-    /// Applies one op to all three worlds, checking that outcome-level
-    /// results (ok-ness, written counts, removed-chunk bytes) agree.
+    /// Applies one op to both worlds, checking that outcome-level results
+    /// (ok-ness, written counts, removed-chunk bytes) agree, and advances
+    /// the dirty model.
     fn apply(&mut self, op: &Op) {
         match op {
             Op::Set { x, y, z, block } => {
                 let pos = BlockPos::new(*x, *y, *z);
                 let a = self.plain.set_block(pos, *block).is_ok();
-                let b = self.rwlock.set_block(pos, *block).is_ok();
-                let c = self.lockfree.set_block(pos, *block).is_ok();
+                let b = self.sharded.set_block(pos, *block).is_ok();
                 prop_assert_eq!(a, b, "set_block ok-ness at {}", pos);
-                prop_assert_eq!(a, c, "set_block ok-ness at {}", pos);
+                if a {
+                    self.model.note(&self.sharded, ChunkPos::from(pos), 1);
+                }
             }
             Op::Batch { writes } => {
                 // A *failed* batch leaves a documented, intentionally
                 // different partial state: the plain world stops at the
-                // failing write in input order, the sharded worlds complete
-                // whole shards before the failing one. The plain-vs-sharded
-                // property therefore only covers batches that succeed, so
-                // writes to unloaded chunks are filtered out here (the
-                // loaded sets are identical across the trio by the other
-                // assertions). Failing batches are differenced
-                // backend-vs-backend in a dedicated property below.
+                // failing write in input order, the sharded world completes
+                // whole shards before the failing one. This property covers
+                // batches that succeed, so writes to unloaded chunks are
+                // filtered out here (the loaded sets are identical by the
+                // other assertions). Failing batches have their own
+                // property below.
                 let batch: Vec<(BlockPos, Block)> = writes
                     .iter()
                     .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
                     .filter(|(pos, _)| self.plain.is_loaded(ChunkPos::from(*pos)))
                     .collect();
                 let a = self.plain.set_blocks(batch.clone()).unwrap();
-                let b = self.rwlock.set_blocks(batch.clone()).unwrap();
-                let c = self.lockfree.set_blocks(batch).unwrap();
+                let b = self.sharded.set_blocks(batch.clone()).unwrap();
                 prop_assert_eq!(a, b, "batch written count");
-                prop_assert_eq!(a, c, "batch written count");
+                for (pos, _) in batch {
+                    self.model.note(&self.sharded, ChunkPos::from(pos), 1);
+                }
             }
             Op::Fill {
                 x0,
@@ -144,119 +197,115 @@ impl Trio {
             } => {
                 let min = BlockPos::new(*x0, *y0, *z0);
                 let max = BlockPos::new(x0 + dx, y0 + dy, z0 + dz);
+                let before = self.chunk_modifications();
                 let a = self.plain.fill_region(min, max, *block);
-                let b = self.rwlock.fill_region(min, max, *block);
-                let c = self.lockfree.fill_region(min, max, *block);
+                let b = self.sharded.fill_region(min, max, *block);
                 prop_assert_eq!(a.is_ok(), b.is_ok());
-                prop_assert_eq!(a.is_ok(), c.is_ok());
-                if let (Ok(a), Ok(b), Ok(c)) = (a, b, c) {
+                if let (Ok(a), Ok(b)) = (a, b) {
                     prop_assert_eq!(a, b, "fill changed count");
-                    prop_assert_eq!(a, c, "fill changed count");
+                }
+                for (pos, mods) in before {
+                    let after = self.plain.chunk(pos).unwrap().modifications();
+                    self.model.note(&self.sharded, pos, after - mods);
                 }
             }
             Op::Ensure { cx, cz } => {
                 let pos = ChunkPos::new(*cx, *cz);
                 self.plain.ensure_chunk_at(pos);
-                self.rwlock.ensure_chunk_at(pos);
-                self.lockfree.ensure_chunk_at(pos);
+                self.sharded.ensure_chunk_at(pos);
             }
             Op::Remove { cx, cz } => {
                 let pos = ChunkPos::new(*cx, *cz);
                 let a = self.plain.remove_chunk(pos);
-                let b = self.rwlock.remove_chunk(pos);
-                let c = self.lockfree.remove_chunk(pos);
+                let b = self.sharded.remove_chunk(pos);
                 prop_assert_eq!(a.is_some(), b.is_some(), "remove at {}", pos);
-                prop_assert_eq!(a.is_some(), c.is_some(), "remove at {}", pos);
-                if let (Some(a), Some(b), Some(c)) = (a, b, c) {
+                if let (Some(a), Some(b)) = (a, b) {
                     prop_assert_eq!(a.to_bytes(), b.to_bytes(), "removed bytes at {}", pos);
-                    prop_assert_eq!(a.to_bytes(), c.to_bytes(), "removed bytes at {}", pos);
                 }
+                // An unloaded chunk has nothing left to write back.
+                self.model.dirty.remove(&(pos.x, pos.z));
             }
             Op::Drain => {
-                let b = self.rwlock.drain_dirty();
-                let c = self.lockfree.drain_dirty();
-                prop_assert_eq!(b, c, "mid-sequence dirty deltas");
+                let expected = self.model.drain(&self.sharded);
+                prop_assert_eq!(self.sharded.drain_dirty(), expected, "mid-sequence deltas");
+            }
+            Op::Reshard { shards } => {
+                self.sharded = std::mem::take(&mut self.sharded).with_shards(*shards);
+                prop_assert_eq!(self.sharded.shard_count(), *shards);
+                self.model.epochs = vec![0; *shards];
             }
         }
     }
 
+    /// Every loaded chunk of the plain world with its lifetime modification
+    /// count.
+    fn chunk_modifications(&self) -> Vec<(ChunkPos, u64)> {
+        self.plain
+            .loaded_positions()
+            .map(|pos| (pos, self.plain.chunk(pos).unwrap().modifications()))
+            .collect()
+    }
+
     /// The full end-state comparison: bytes, loaded sets, counters, dirty
     /// deltas, epochs.
-    fn assert_converged(&self) {
-        prop_assert_eq!(self.plain.loaded_chunks(), self.rwlock.loaded_chunks());
-        prop_assert_eq!(self.plain.loaded_chunks(), self.lockfree.loaded_chunks());
+    fn assert_converged(&mut self) {
+        prop_assert_eq!(self.plain.loaded_chunks(), self.sharded.loaded_chunks());
         prop_assert_eq!(
             self.plain.total_modifications(),
-            self.rwlock.total_modifications()
+            self.sharded.total_modifications()
         );
-        prop_assert_eq!(
-            self.plain.total_modifications(),
-            self.lockfree.total_modifications()
-        );
-        prop_assert_eq!(self.plain.stateful_blocks(), self.rwlock.stateful_blocks());
-        prop_assert_eq!(
-            self.plain.stateful_blocks(),
-            self.lockfree.stateful_blocks()
-        );
+        prop_assert_eq!(self.plain.stateful_blocks(), self.sharded.stateful_blocks());
 
         // Loaded position sets are identical...
         let mut plain_positions: Vec<ChunkPos> = self.plain.loaded_positions().collect();
-        let mut rw_positions = self.rwlock.loaded_positions();
-        let mut lf_positions = self.lockfree.loaded_positions();
+        let mut sharded_positions = self.sharded.loaded_positions();
         let key = |p: &ChunkPos| (p.x, p.z);
         plain_positions.sort_unstable_by_key(key);
-        rw_positions.sort_unstable_by_key(key);
-        lf_positions.sort_unstable_by_key(key);
-        prop_assert_eq!(&plain_positions, &rw_positions);
-        prop_assert_eq!(&plain_positions, &lf_positions);
+        sharded_positions.sort_unstable_by_key(key);
+        prop_assert_eq!(&plain_positions, &sharded_positions);
 
-        // ...and every loaded chunk is byte-identical across all three.
+        // ...and every loaded chunk is byte-identical.
         for pos in plain_positions {
             let reference = self.plain.chunk(pos).expect("listed as loaded").to_bytes();
-            let rw = self.rwlock.read_chunk(pos, |c| c.to_bytes());
-            let lf = self.lockfree.read_chunk(pos, |c| c.to_bytes());
-            prop_assert_eq!(Some(&reference), rw.as_ref(), "rwlock bytes at {}", pos);
-            prop_assert_eq!(Some(&reference), lf.as_ref(), "lockfree bytes at {}", pos);
+            let sharded = self.sharded.read_chunk(pos, |c| c.to_bytes());
+            prop_assert_eq!(Some(&reference), sharded.as_ref(), "bytes at {}", pos);
         }
 
-        // The sharded pair agrees on shard layout, dirty sets and epochs
-        // (the plain world has no dirty tracking to compare against).
-        prop_assert_eq!(self.rwlock.shard_count(), self.lockfree.shard_count());
-        let rw_deltas: Vec<ShardDelta> = self.rwlock.drain_dirty();
-        let lf_deltas: Vec<ShardDelta> = self.lockfree.drain_dirty();
-        prop_assert_eq!(rw_deltas, lf_deltas, "final dirty deltas");
-        for shard in 0..self.rwlock.shard_count() {
+        // Epochs and the final drain match the model.
+        for shard in 0..self.sharded.shard_count() {
             prop_assert_eq!(
-                self.rwlock.shard_epoch(shard),
-                self.lockfree.shard_epoch(shard),
+                self.sharded.shard_epoch(shard),
+                self.model.epochs[shard],
                 "epoch of shard {}",
                 shard
             );
         }
-        // Draining is complete: a second drain is empty on both.
-        prop_assert!(self.rwlock.drain_dirty().is_empty());
-        prop_assert!(self.lockfree.drain_dirty().is_empty());
+        let expected = self.model.drain(&self.sharded);
+        prop_assert_eq!(self.sharded.drain_dirty(), expected, "final dirty deltas");
+        // Draining is complete: a second drain is empty.
+        prop_assert!(self.sharded.drain_dirty().is_empty());
     }
 }
 
 proptest! {
     /// The headline differential property: arbitrary operation sequences
-    /// leave all three worlds observationally identical.
+    /// leave both worlds observationally identical, with dirty drains and
+    /// epochs exactly as the model predicts.
     #[test]
-    fn backends_agree_on_arbitrary_sequences(
+    fn sharded_world_agrees_on_arbitrary_sequences(
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
-        let mut trio = Trio::new();
+        let mut duo = Duo::new();
         for op in &ops {
-            trio.apply(op);
+            duo.apply(op);
         }
-        trio.assert_converged();
+        duo.assert_converged();
     }
 
     /// Write-back equivalence: after the same edits, the dirty deltas the
-    /// persistence layer would drain name the same chunks with the same
-    /// epochs, and snapshotting those chunks yields the same bytes from
-    /// either backend.
+    /// persistence layer would drain name the edited chunks with the right
+    /// epochs, and snapshotting those chunks yields the plain world's
+    /// bytes.
     #[test]
     fn drained_deltas_snapshot_identically(
         writes in prop::collection::vec(
@@ -264,30 +313,25 @@ proptest! {
             1..80,
         ),
     ) {
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
-        for cx in -3..3 {
-            for cz in -3..3 {
-                rwlock.ensure_chunk_at(ChunkPos::new(cx, cz));
-                lockfree.ensure_chunk_at(ChunkPos::new(cx, cz));
-            }
-        }
+        let mut duo = Duo::new();
         let batch: Vec<(BlockPos, Block)> = writes
             .iter()
             .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
             .collect();
         prop_assert_eq!(
-            rwlock.set_blocks(batch.clone()).unwrap(),
-            lockfree.set_blocks(batch).unwrap()
+            duo.plain.set_blocks(batch.clone()).unwrap(),
+            duo.sharded.set_blocks(batch.clone()).unwrap()
         );
-        let rw_deltas = rwlock.drain_dirty();
-        let lf_deltas = lockfree.drain_dirty();
-        prop_assert_eq!(&rw_deltas, &lf_deltas);
-        for delta in &rw_deltas {
+        for (pos, _) in &batch {
+            duo.model.note(&duo.sharded, ChunkPos::from(*pos), 1);
+        }
+        let deltas = duo.sharded.drain_dirty();
+        prop_assert_eq!(&deltas, &duo.model.drain(&duo.sharded));
+        for delta in &deltas {
             for &pos in &delta.chunks {
                 prop_assert_eq!(
-                    rwlock.read_chunk(pos, |c| c.to_bytes()),
-                    lockfree.read_chunk(pos, |c| c.to_bytes()),
+                    duo.sharded.read_chunk(pos, |c| c.to_bytes()),
+                    Some(duo.plain.chunk(pos).unwrap().to_bytes()),
                     "snapshot at {}",
                     pos
                 );
@@ -295,53 +339,63 @@ proptest! {
         }
     }
 
-    /// The two sharded backends agree *exactly* even on failing batches:
-    /// they share the shard-ordered partial-application contract (whole
-    /// shards before the failing one), so final bytes, counters, and dirty
-    /// deltas must match although the plain world would diverge here.
+    /// Failing batches follow the sharded partial-application contract
+    /// exactly: writes apply shard by shard in shard order, in input order
+    /// within a shard, and stop at the first failing write. Replaying that
+    /// order write by write on the plain world reproduces the final bytes,
+    /// counters and dirty deltas.
     #[test]
-    fn sharded_backends_agree_on_failing_batches(
+    fn failing_batches_apply_whole_shards_in_order(
         writes in prop::collection::vec(
             ((-80i32..80, 1i32..80, -80i32..80), arb_block()),
             1..60,
         ),
     ) {
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
+        let mut plain = World::flat(4);
+        let sharded = ShardedWorld::flat(4);
         // Load only a partial grid so batches regularly hit unloaded
         // chunks and fail partway through.
         for cx in -2..2 {
             for cz in -2..2 {
-                rwlock.ensure_chunk_at(ChunkPos::new(cx, cz));
-                lockfree.ensure_chunk_at(ChunkPos::new(cx, cz));
+                plain.ensure_chunk_at(ChunkPos::new(cx, cz));
+                sharded.ensure_chunk_at(ChunkPos::new(cx, cz));
             }
         }
         let batch: Vec<(BlockPos, Block)> = writes
             .iter()
             .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
             .collect();
-        let b = rwlock.set_blocks(batch.clone());
-        let c = lockfree.set_blocks(batch);
-        prop_assert_eq!(b.is_ok(), c.is_ok());
-        if let (Ok(b), Ok(c)) = (&b, &c) {
-            prop_assert_eq!(b, c, "written count");
+        let mut shard_order = batch.clone();
+        shard_order.sort_by_key(|(pos, _)| sharded.shard_of(ChunkPos::from(*pos)));
+        let mut model = DirtyModel::new(sharded.shard_count());
+        let mut replayed = Ok(0usize);
+        for &(pos, block) in &shard_order {
+            if let Err(e) = plain.set_block(pos, block) {
+                replayed = Err(e);
+                break;
+            }
+            model.note(&sharded, ChunkPos::from(pos), 1);
+            replayed = replayed.map(|n| n + 1);
         }
-        prop_assert_eq!(rwlock.total_modifications(), lockfree.total_modifications());
-        prop_assert_eq!(rwlock.drain_dirty(), lockfree.drain_dirty());
-        let mut positions = rwlock.loaded_positions();
-        positions.sort_unstable_by_key(|p| (p.x, p.z));
-        for pos in positions {
+        let result = sharded.set_blocks(batch);
+        prop_assert_eq!(result.is_ok(), replayed.is_ok());
+        if let (Ok(a), Ok(b)) = (&result, &replayed) {
+            prop_assert_eq!(a, b, "written count");
+        }
+        prop_assert_eq!(sharded.total_modifications(), plain.total_modifications());
+        prop_assert_eq!(sharded.drain_dirty(), model.drain(&sharded));
+        for pos in plain.loaded_positions() {
             prop_assert_eq!(
-                rwlock.read_chunk(pos, |chunk| chunk.to_bytes()),
-                lockfree.read_chunk(pos, |chunk| chunk.to_bytes()),
+                sharded.read_chunk(pos, |chunk| chunk.to_bytes()),
+                Some(plain.chunk(pos).unwrap().to_bytes()),
                 "bytes at {}",
                 pos
             );
         }
     }
 
-    /// Round-trip equivalence: converting either sharded world back to a
-    /// plain `World` reproduces the plain world byte for byte.
+    /// Round-trip equivalence: converting the sharded world back to a plain
+    /// `World` reproduces the plain world byte for byte.
     #[test]
     fn to_world_round_trips_identically(
         writes in prop::collection::vec(
@@ -349,29 +403,27 @@ proptest! {
             1..50,
         ),
     ) {
-        let mut trio = Trio::new();
+        let mut duo = Duo::new();
         for ((x, y, z), block) in &writes {
-            trio.apply(&Op::Set { x: *x, y: *y, z: *z, block: *block });
+            duo.apply(&Op::Set { x: *x, y: *y, z: *z, block: *block });
         }
-        let rw_world = trio.rwlock.to_world();
-        let lf_world = trio.lockfree.to_world();
-        prop_assert_eq!(rw_world.loaded_chunks(), trio.plain.loaded_chunks());
-        prop_assert_eq!(lf_world.loaded_chunks(), trio.plain.loaded_chunks());
-        for pos in trio.plain.loaded_positions() {
-            let reference = trio.plain.chunk(pos).unwrap().to_bytes();
-            prop_assert_eq!(&rw_world.chunk(pos).unwrap().to_bytes(), &reference);
-            prop_assert_eq!(&lf_world.chunk(pos).unwrap().to_bytes(), &reference);
+        let round_trip = duo.sharded.to_world();
+        prop_assert_eq!(round_trip.loaded_chunks(), duo.plain.loaded_chunks());
+        for pos in duo.plain.loaded_positions() {
+            prop_assert_eq!(
+                &round_trip.chunk(pos).unwrap().to_bytes(),
+                &duo.plain.chunk(pos).unwrap().to_bytes()
+            );
         }
     }
 }
 
-/// The generic exercise also holds for any *future* backend wired through
-/// the trait: this free function is the reusable differential core, and a
-/// plain `#[test]` pins it for both current backends so a failure names the
-/// backend directly rather than a proptest seed.
-fn exercise_against_plain<B: ChunkStore>() {
+/// A fixed schedule pinned as a plain `#[test]`, so a regression names the
+/// failing position directly rather than a proptest seed.
+#[test]
+fn sharded_world_matches_plain_world() {
     let mut plain = World::flat(4);
-    let sharded = ShardedWorld::<B>::flat_in(4);
+    let sharded = ShardedWorld::flat(4);
     for cx in -2..2 {
         for cz in -2..2 {
             plain.ensure_chunk_at(ChunkPos::new(cx, cz));
@@ -391,18 +443,7 @@ fn exercise_against_plain<B: ChunkStore>() {
         assert_eq!(
             Some(plain.chunk(pos).unwrap().to_bytes()),
             sharded.read_chunk(pos, |c| c.to_bytes()),
-            "bytes at {pos} over {}",
-            B::NAME
+            "bytes at {pos}"
         );
     }
-}
-
-#[test]
-fn rwlock_backend_matches_plain_world() {
-    exercise_against_plain::<RwLockStore>();
-}
-
-#[test]
-fn lockfree_backend_matches_plain_world() {
-    exercise_against_plain::<LockFreeStore>();
 }

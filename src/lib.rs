@@ -41,6 +41,7 @@
 //! assert!(servo::metrics::qos_satisfied_default(&durations));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use servo_core as core;
