@@ -6,7 +6,7 @@ use std::sync::Arc;
 use servo_metrics::StatsReport;
 use servo_types::ChunkPos;
 use servo_world::sharded::shard_index;
-use servo_world::{ShardDelta, ShardMap};
+use servo_world::{FxBuildHasher, ShardDelta, ShardMap};
 
 use crate::interest::{Interest, Subscription};
 
@@ -224,7 +224,8 @@ pub struct ReplicationHub {
     border: Vec<(usize, SubscriberId)>,
     /// Current epoch per shard, updated from ingested deltas.
     shard_epochs: Vec<u64>,
-    /// Subscribers with pending work, in first-touched order.
+    /// Subscribers with pending work, in first-touched order: exactly the
+    /// live subscribers whose `queued` flag is set, each once.
     dirty_queue: Vec<SubscriberId>,
     /// The partition version border shard sets were resolved against.
     map_version: u64,
@@ -316,6 +317,11 @@ impl ReplicationHub {
         let Some(state) = self.subs.get_mut(id as usize).and_then(Option::take) else {
             return;
         };
+        if state.queued {
+            // A later subscriber may reuse the id; a stale entry would
+            // flush it twice.
+            self.dirty_queue.retain(|&other| other != id);
+        }
         match state.sub {
             Subscription::Area(interest) => {
                 for pos in interest.chunks() {
@@ -479,7 +485,9 @@ impl ReplicationHub {
     /// interest instead: `sizer` maps a chunk position to its current
     /// snapshot size in bytes, or `None` when the chunk is not loaded (or
     /// its owner is dead) — such chunks are skipped and re-offered once
-    /// they exist.
+    /// they exist. The world cannot change during a flush, so `sizer` is
+    /// called at most once per distinct chunk per flush: keyframes of
+    /// overlapping subscribers share the answer.
     pub fn flush(
         &mut self,
         cohorts: u64,
@@ -491,15 +499,16 @@ impl ReplicationHub {
 
         let mut frames = Vec::new();
         let mut retained = Vec::new();
+        let mut sizes: HashMap<ChunkPos, Option<u64>, FxBuildHasher> = HashMap::default();
         let queue = std::mem::take(&mut self.dirty_queue);
         for id in queue {
             if u64::from(id) % cohorts != cohort {
                 retained.push(id);
                 continue;
             }
-            let Some(state) = self.subs[id as usize].as_mut() else {
-                continue;
-            };
+            let state = self.subs[id as usize]
+                .as_mut()
+                .expect("dirty_queue holds live subscribers");
             state.queued = false;
 
             let keyframe = state.fresh || self.config.keyframe_only;
@@ -510,7 +519,7 @@ impl ReplicationHub {
                 let mut bytes = self.config.frame_header_bytes;
                 let mut chunks = Vec::new();
                 for pos in interest.chunks() {
-                    if let Some(size) = sizer(pos) {
+                    if let Some(size) = *sizes.entry(pos).or_insert_with(|| sizer(pos)) {
                         bytes += size;
                         chunks.push(pos);
                     }

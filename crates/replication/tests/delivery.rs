@@ -4,12 +4,13 @@
 //! [`ReplicationHub::ingest`] reaches **exactly** the subscribers whose
 //! interest covers it — no drops, no duplicates, no spurious deliveries —
 //! and stays exact while subscribers move ([`ReplicationHub::retarget`])
-//! and while the shard partition migrates underneath the index. The hub is
-//! driven op-by-op against a trivial per-subscriber set model; flushing
-//! after every op makes the model's expectation sharp (a subscriber is due
-//! a frame iff it is fresh or has accumulated dirt).
+//! and while the shard partition migrates underneath the index, and while
+//! subscribers leave and their ids are reused. The hub is driven op-by-op
+//! against a trivial per-subscriber set model; at every flush the model's
+//! expectation is sharp (a subscriber is due exactly one frame iff it is
+//! fresh or has accumulated dirt).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -30,6 +31,9 @@ enum Op {
     Retarget { index: usize, center: (i32, i32) },
     /// The partition migrates a shard to a new zone.
     Migrate { shard: usize, zone: usize },
+    /// Subscriber `index % live` unsubscribes and subscribes again with
+    /// the same interest, reusing its id.
+    Churn { index: usize },
 }
 
 fn chunk_strategy() -> impl Strategy<Value = (i32, i32)> {
@@ -43,6 +47,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(index, center)| Op::Retarget { index, center }),
         1 => (0usize..SHARDS, 0usize..ZONES)
             .prop_map(|(shard, zone)| Op::Migrate { shard, zone }),
+        2 => (0usize..8).prop_map(|index| Op::Churn { index }),
     ]
 }
 
@@ -75,15 +80,15 @@ fn drain(chunks: &[(i32, i32)], epoch: u64) -> Vec<ShardDelta> {
 }
 
 proptest! {
-    /// Drive the hub with dirty ticks, movement, and shard migration,
-    /// flushing every step: each delta frame carries exactly the covered
-    /// dirty set, each fresh subscriber gets a keyframe of its whole
-    /// region, and a subscriber appears in a flush iff the model owes it
-    /// a frame.
+    /// Drive the hub with dirty ticks, movement, shard migration and id
+    /// reuse, flushing after most steps: each delta frame carries exactly
+    /// the covered dirty set, each fresh subscriber gets a keyframe of its
+    /// whole region, and a subscriber appears in a flush, in exactly one
+    /// frame, iff the model owes it a frame.
     #[test]
     fn every_dirty_chunk_reaches_exactly_the_covering_subscribers(
         subs in prop::collection::vec((chunk_strategy(), 0i32..3), 1..6),
-        ops in prop::collection::vec(op_strategy(), 1..40),
+        ops in prop::collection::vec((op_strategy(), 0u8..3), 1..40),
     ) {
         let map = Arc::new(ShardMap::contiguous(SHARDS, ZONES));
         let mut hub = ReplicationHub::new(Arc::clone(&map));
@@ -101,7 +106,7 @@ proptest! {
             fresh.push(true);
         }
 
-        for (step, op) in ops.iter().enumerate() {
+        for (step, (op, flush_after)) in ops.iter().enumerate() {
             match op {
                 Op::Dirty(chunks) => {
                     hub.ingest(&drain(chunks, step as u64 + 1));
@@ -131,6 +136,19 @@ proptest! {
                     map.migrate(*shard, *zone);
                     hub.sync_partition();
                 }
+                Op::Churn { index } => {
+                    let i = index % interests.len();
+                    hub.unsubscribe(i as u32);
+                    let id = hub.subscribe(interests[i]);
+                    prop_assert_eq!(id as usize, i, "freed id is reused");
+                    pending[i].clear();
+                    fresh[i] = true;
+                }
+            }
+            // One step in three leaves its work queued, so churn can hit
+            // subscribers that are still waiting for a flush.
+            if *flush_after == 0 {
+                continue;
             }
 
             // Snapshot what the model owes before the flush consumes it.
@@ -367,4 +385,82 @@ fn unsubscribe_stops_delivery_and_frees_the_cell_index() {
     let frames = hub.flush(1, |_| Some(40));
     assert_eq!(frames.len(), 1);
     assert_eq!(frames[0].subscriber, b);
+}
+
+/// A freed id reused while its old entry still waits in the flush queue
+/// gets one keyframe, not a keyframe and a spurious empty delta.
+#[test]
+fn reused_id_is_flushed_once() {
+    let map = Arc::new(ShardMap::contiguous(SHARDS, 1));
+    let mut hub = ReplicationHub::new(Arc::clone(&map));
+    let interest = Interest::new(ChunkPos::new(0, 0), 2);
+    let id = hub.subscribe(interest);
+    hub.unsubscribe(id);
+    assert_eq!(hub.subscribe(interest), id);
+
+    let frames = hub.flush(1, |_| Some(40));
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].subscriber, id);
+    assert_eq!(frames[0].kind, FrameKind::Keyframe);
+    assert_eq!(hub.stats().frames, 1);
+    assert!(hub.flush(1, |_| Some(40)).is_empty());
+}
+
+/// Fresh subscribers whose regions overlap share one `sizer` call per
+/// distinct chunk in a flush, loaded or not, and their keyframes carry the
+/// same bytes as if every chunk had been priced per subscriber.
+#[test]
+fn sizer_is_called_once_per_distinct_chunk_per_flush() {
+    let map = Arc::new(ShardMap::contiguous(SHARDS, 1));
+    let mut hub = ReplicationHub::new(Arc::clone(&map));
+    // Chunks with x == 2 are not loaded; the rest cost a position-derived
+    // size, so a mispriced chunk would change the total.
+    let size = |pos: ChunkPos| {
+        (pos.x != 2).then(|| 18 + 6 * (pos.x.unsigned_abs() + 2 * pos.z.unsigned_abs()) as u64)
+    };
+    let interests = [
+        Interest::new(ChunkPos::new(0, 0), 2),
+        Interest::new(ChunkPos::new(1, 0), 2),
+        Interest::new(ChunkPos::new(0, 1), 1),
+        Interest::new(ChunkPos::new(0, 0), 2),
+    ];
+    for &interest in &interests {
+        hub.subscribe(interest);
+    }
+
+    let mut calls: HashMap<ChunkPos, u32> = HashMap::new();
+    let frames = hub.flush(1, |pos| {
+        *calls.entry(pos).or_default() += 1;
+        size(pos)
+    });
+
+    let distinct: BTreeSet<ChunkPos> = interests.iter().flat_map(Interest::chunks).collect();
+    assert_eq!(calls.len(), distinct.len());
+    assert!(
+        calls.values().all(|&n| n == 1),
+        "a chunk was priced twice: {calls:?}"
+    );
+
+    let header = HubConfig::default().frame_header_bytes;
+    let unmemoised: u64 = interests
+        .iter()
+        .map(|interest| header + interest.chunks().into_iter().filter_map(size).sum::<u64>())
+        .sum();
+    assert_eq!(frames.len(), interests.len());
+    assert!(frames.iter().all(|f| f.kind == FrameKind::Keyframe));
+    assert_eq!(frames.iter().map(|f| f.bytes).sum::<u64>(), unmemoised);
+    assert_eq!(hub.stats().keyframe_bytes, unmemoised);
+
+    // The memo lasts one flush: a retarget next flush prices afresh.
+    hub.retarget(0, ChunkPos::new(1, 1));
+    calls.clear();
+    hub.flush(1, |pos| {
+        *calls.entry(pos).or_default() += 1;
+        size(pos)
+    });
+    assert_eq!(
+        calls.len(),
+        Interest::new(ChunkPos::new(1, 1), 2).chunks().len()
+    );
+    assert!(calls.values().all(|&n| n == 1));
 }

@@ -16,6 +16,16 @@ const HEIGHT_BITS: u32 = CHUNK_HEIGHT.trailing_zeros();
 /// `log2(CHUNK_SIZE)`: the `z` coordinate occupies the next bits.
 const SIZE_BITS: u32 = CHUNK_SIZE.trailing_zeros();
 
+/// Bytes of the [`Chunk::to_bytes`] header: chunk x, chunk z, run count.
+const RLE_HEADER_BYTES: usize = 12;
+
+/// Bytes of one encoded run: count (u32) and block id (u16).
+const RLE_RUN_BYTES: usize = 6;
+
+/// Block-pair comparisons summed per lane block by [`Chunk::runs`]; at
+/// most this many changes fit a `u16` partial sum.
+const RUN_LANES: usize = 256;
+
 /// A 16 x 16 x 256 column of blocks, the unit of terrain generation, loading
 /// and storage in the paper (Section IV-D: "an area of 16x16x256 blocks").
 ///
@@ -199,24 +209,58 @@ impl Chunk {
     /// Serializes the chunk into a compact run-length encoded byte buffer.
     ///
     /// Layout: chunk x (i32 LE), chunk z (i32 LE), number of runs (u32 LE),
-    /// then `(count: u32 LE, block id: u16 LE)` per run.
+    /// then `(count: u32 LE, block id: u16 LE)` per maximal run.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let runs = self.runs();
+        let mut out = Vec::with_capacity(RLE_HEADER_BYTES + RLE_RUN_BYTES * runs);
         out.extend_from_slice(&self.pos.x.to_le_bytes());
         out.extend_from_slice(&self.pos.z.to_le_bytes());
-        let mut runs: Vec<(u32, u16)> = Vec::new();
-        for &b in &self.blocks {
-            match runs.last_mut() {
-                Some((count, id)) if *id == b => *count += 1,
-                _ => runs.push((1, b)),
-            }
-        }
-        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-        for (count, id) in runs {
+        out.extend_from_slice(&(runs as u32).to_le_bytes());
+        let mut push = |count: u32, id: u16| {
             out.extend_from_slice(&count.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
+        };
+        let (&first, rest) = self
+            .blocks
+            .split_first()
+            .expect("a chunk always holds BLOCKS_PER_CHUNK blocks");
+        let (mut id, mut count) = (first, 1u32);
+        for &b in rest {
+            if b == id {
+                count += 1;
+            } else {
+                push(count, id);
+                (id, count) = (b, 1);
+            }
         }
+        push(count, id);
+        debug_assert_eq!(out.len(), self.serialized_size());
         out
+    }
+
+    /// Number of maximal runs of equal block ids: one plus the number of
+    /// adjacent unequal pairs.
+    ///
+    /// The pairs are compared in fixed blocks of [`RUN_LANES`], each summed
+    /// into a `u16` (at most `RUN_LANES` changes, so it cannot overflow),
+    /// which lets the compiler vectorise the scan; the remainder is counted
+    /// separately.
+    fn runs(&self) -> usize {
+        let len = self.blocks.len();
+        let mut prev = self.blocks[..len - 1].chunks_exact(RUN_LANES);
+        let mut next = self.blocks[1..].chunks_exact(RUN_LANES);
+        let mut changes = 0usize;
+        for (a, b) in prev.by_ref().zip(next.by_ref()) {
+            let block: u16 = a.iter().zip(b).map(|(x, y)| u16::from(x != y)).sum();
+            changes += usize::from(block);
+        }
+        changes += prev
+            .remainder()
+            .iter()
+            .zip(next.remainder())
+            .filter(|(x, y)| x != y)
+            .count();
+        1 + changes
     }
 
     /// Deserializes a chunk produced by [`Chunk::to_bytes`].
@@ -231,16 +275,16 @@ impl Chunk {
                 reason: reason.to_string(),
             }
         }
-        if bytes.len() < 12 {
+        if bytes.len() < RLE_HEADER_BYTES {
             return Err(corrupt("buffer shorter than header"));
         }
         let x = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
         let z = i32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let run_count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         let mut blocks = Vec::with_capacity(BLOCKS_PER_CHUNK);
-        let mut offset = 12;
+        let mut offset = RLE_HEADER_BYTES;
         for _ in 0..run_count {
-            if offset + 6 > bytes.len() {
+            if offset + RLE_RUN_BYTES > bytes.len() {
                 return Err(corrupt("truncated run"));
             }
             let count = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
@@ -252,7 +296,7 @@ impl Chunk {
                 return Err(corrupt("run overflows chunk"));
             }
             blocks.extend(std::iter::repeat_n(id, count));
-            offset += 6;
+            offset += RLE_RUN_BYTES;
         }
         if blocks.len() != BLOCKS_PER_CHUNK {
             return Err(corrupt("runs do not cover full chunk"));
@@ -264,10 +308,11 @@ impl Chunk {
         })
     }
 
-    /// The serialized size of this chunk in bytes, used by the storage model
-    /// to account for transfer volume.
+    /// The length of [`Chunk::to_bytes`] in bytes. Replication prices
+    /// keyframes with it, once per chunk per flush: it scans the blocks
+    /// for the run count without encoding or allocating.
     pub fn serialized_size(&self) -> usize {
-        self.to_bytes().len()
+        RLE_HEADER_BYTES + RLE_RUN_BYTES * self.runs()
     }
 
     /// Takes an immutable snapshot of the chunk suitable for handing to a

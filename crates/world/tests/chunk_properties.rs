@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::{BlockPos, ChunkPos};
+use servo_world::chunk::BLOCKS_PER_CHUNK;
 use servo_world::{Block, Chunk, World};
 
 fn arb_block() -> impl Strategy<Value = Block> {
@@ -11,6 +12,73 @@ fn arb_block() -> impl Strategy<Value = Block> {
 
 fn arb_local_coord() -> impl Strategy<Value = (i32, i32, i32)> {
     (0..CHUNK_SIZE, 0..CHUNK_HEIGHT, 0..CHUNK_SIZE)
+}
+
+/// One write through the chunk's public editing surface.
+#[derive(Debug, Clone)]
+enum Edit {
+    Set((i32, i32, i32), Block),
+    Fill((i32, i32, i32), (i32, i32, i32), Block),
+    Layer(i32, Block),
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        6 => (arb_local_coord(), arb_block()).prop_map(|(at, block)| Edit::Set(at, block)),
+        2 => (arb_local_coord(), arb_local_coord(), arb_block()).prop_map(|(a, b, block)| {
+            let lo = (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2));
+            let hi = (a.0.max(b.0), a.1.max(b.1), a.2.max(b.2));
+            Edit::Fill(lo, hi, block)
+        }),
+        1 => (0..CHUNK_HEIGHT, arb_block()).prop_map(|(y, block)| Edit::Layer(y, block)),
+    ]
+}
+
+/// The chunk's maximal runs, recounted block by block through the public
+/// reader in storage order (x, then z, then y).
+fn naive_runs(chunk: &Chunk) -> Vec<(u32, u16)> {
+    let mut runs: Vec<(u32, u16)> = Vec::new();
+    for x in 0..CHUNK_SIZE {
+        for z in 0..CHUNK_SIZE {
+            for y in 0..CHUNK_HEIGHT {
+                let id = chunk.local(x, y, z).unwrap().id();
+                match runs.last_mut() {
+                    Some((count, last)) if *last == id => *count += 1,
+                    _ => runs.push((1, id)),
+                }
+            }
+        }
+    }
+    runs
+}
+
+/// The documented [`Chunk::to_bytes`] layout of the given runs, whether or
+/// not they are maximal.
+fn encode(pos: ChunkPos, runs: &[(u32, u16)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&pos.x.to_le_bytes());
+    out.extend_from_slice(&pos.z.to_le_bytes());
+    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for &(count, id) in runs {
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out
+}
+
+/// Grid of run boundaries for hand-built encodings.
+const CUT_STEPS: usize = 64;
+
+/// Merges adjacent equal-id runs and drops empty ones.
+fn maximal(runs: &[(u32, u16)]) -> Vec<(u32, u16)> {
+    let mut merged: Vec<(u32, u16)> = Vec::new();
+    for &(count, id) in runs.iter().filter(|&&(count, _)| count > 0) {
+        match merged.last_mut() {
+            Some((total, last)) if *last == id => *total += count,
+            _ => merged.push((count, id)),
+        }
+    }
+    merged
 }
 
 proptest! {
@@ -33,6 +101,61 @@ proptest! {
         }
         prop_assert_eq!(restored.non_air_blocks(), chunk.non_air_blocks());
         prop_assert_eq!(restored.to_bytes(), chunk.to_bytes());
+    }
+
+    /// Over any edit sequence the size is the encoded length, and the
+    /// encoding is the documented layout of exactly the maximal runs.
+    #[test]
+    fn serialized_size_is_the_encoded_length_of_the_maximal_runs(
+        edits in prop::collection::vec(arb_edit(), 0..60),
+        cx in -1000i32..1000,
+        cz in -1000i32..1000,
+    ) {
+        let pos = ChunkPos::new(cx, cz);
+        let mut chunk = Chunk::empty(pos);
+        for edit in &edits {
+            match *edit {
+                Edit::Set((x, y, z), block) => chunk.set_local(x, y, z, block).unwrap(),
+                Edit::Fill(lo, hi, block) => {
+                    chunk.fill_box(lo, hi, block).unwrap();
+                }
+                Edit::Layer(y, block) => chunk.fill_layer(y, block).unwrap(),
+            }
+        }
+        let bytes = chunk.to_bytes();
+        let runs = naive_runs(&chunk);
+        prop_assert_eq!(chunk.serialized_size(), bytes.len());
+        prop_assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), runs.len() as u32);
+        prop_assert_eq!(bytes, encode(pos, &runs));
+    }
+
+    /// Decoding accepts runs that are not maximal (adjacent equal ids,
+    /// empty runs); the decoded chunk is priced as its maximal re-encoding.
+    #[test]
+    fn non_maximal_encodings_are_priced_as_their_reencoding(
+        cuts in prop::collection::vec((0..CUT_STEPS + 1, 0usize..3), 0..40),
+    ) {
+        // Three ids make adjacent equal runs common; cuts on a coarse grid
+        // often coincide, which makes empty runs.
+        let ids = [Block::Air.id(), Block::Stone.id(), Block::Wire.id()];
+        let mut cuts: Vec<(usize, usize)> = cuts
+            .into_iter()
+            .map(|(step, which)| (step * BLOCKS_PER_CHUNK / CUT_STEPS, which))
+            .collect();
+        cuts.sort();
+        let mut runs = Vec::new();
+        let mut at = 0;
+        for (cut, which) in cuts {
+            runs.push(((cut - at) as u32, ids[which]));
+            at = cut;
+        }
+        runs.push(((BLOCKS_PER_CHUNK - at) as u32, Block::Air.id()));
+        let pos = ChunkPos::new(-3, 5);
+        let chunk = Chunk::from_bytes(&encode(pos, &runs)).unwrap();
+        let merged = maximal(&runs);
+        prop_assert_eq!(chunk.serialized_size(), chunk.to_bytes().len());
+        prop_assert_eq!(chunk.serialized_size(), 12 + 6 * merged.len());
+        prop_assert_eq!(chunk.to_bytes(), encode(pos, &merged));
     }
 
     /// The last write to a position wins, and counts are consistent.
